@@ -753,7 +753,7 @@ class KeyValueCluster:
                     count += 1
                 for partition in pool.namespaces():
                     node_str, namespace = partition.split(":", 1)
-                    self.engines[int(node_str)].bulk_load(
+                    self.replication.stores[int(node_str)].bulk_load(
                         namespace, pool.iter_namespace(partition)
                     )
             finally:

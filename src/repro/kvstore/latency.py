@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,14 @@ class LatencyModel:
         self.params = params or LatencyParameters()
         self._seed = seed
         self._rng = random.Random(seed)
+        #: Weather multiplier per interval index, for the current seed.
+        self._weather: Dict[int, float] = {}
 
     def reseed(self, seed: int) -> None:
         """Reset the model's random stream (used between experiments)."""
         self._seed = seed
         self._rng = random.Random(seed)
+        self._weather = {}
 
     # ------------------------------------------------------------------
     # Weather
@@ -98,14 +101,19 @@ class LatencyModel:
 
         The multiplier is a deterministic function of the interval index and
         the model seed, so two clients observing the same simulated time see
-        the same weather, and re-running an experiment reproduces it.
+        the same weather, and re-running an experiment reproduces it.  It is
+        drawn once per interval and cached until :meth:`reseed`.
         """
         p = self.params
         if p.weather_sigma <= 0:
             return 1.0
         interval = int(sim_time // p.weather_interval_seconds)
-        interval_rng = random.Random((self._seed * 1_000_003) ^ (interval * 7919))
-        return math.exp(interval_rng.gauss(0.0, p.weather_sigma))
+        multiplier = self._weather.get(interval)
+        if multiplier is None:
+            interval_rng = random.Random((self._seed * 1_000_003) ^ (interval * 7919))
+            multiplier = math.exp(interval_rng.gauss(0.0, p.weather_sigma))
+            self._weather[interval] = multiplier
+        return multiplier
 
     # ------------------------------------------------------------------
     # Sampling

@@ -12,9 +12,13 @@ from the underlying key/value store (Section 3 of the paper):
   (Section 7.2).
 
 The implementation keeps a plain ``dict`` for point operations and a sorted
-list of keys that is rebuilt lazily before the first range operation after
-a mutation.  This makes bulk loading (millions of puts followed by reads)
-O(n log n) instead of O(n^2), while point reads stay O(1).
+list of keys for range operations.  New keys are buffered and merged into
+the sorted list by the next range operation (``extend`` + ``sort``: Timsort
+finds the sorted run and merges the short tail into it), so bulk loading
+(millions of puts followed by reads) stays O(n log n) and a range read
+after a few puts never re-sorts the whole map.  A delete merges the buffer
+first, then removes its key from the sorted list by bisection.  Point reads
+stay O(1).
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ class OrderedKVMap:
     def __init__(self) -> None:
         self._data: Dict[bytes, bytes] = {}
         self._sorted_keys: List[bytes] = []
-        self._dirty = False
+        #: Keys added since the last merge into ``_sorted_keys``.
+        self._new_keys: List[bytes] = []
+        # Point reads are the hottest call (the range merge probes every
+        # replica's tombstone map per key): serve them with the dict's own
+        # bound method instead of a Python frame.
+        self.get = self._data.get
 
     # ------------------------------------------------------------------
     # Point operations
@@ -44,17 +53,20 @@ class OrderedKVMap:
             raise TypeError(f"keys must be bytes, got {type(key).__name__}")
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError(f"values must be bytes, got {type(value).__name__}")
+        key = bytes(key)
         if key not in self._data:
-            self._dirty = True
-        self._data[bytes(key)] = bytes(value)
+            self._new_keys.append(key)
+        self._data[key] = bytes(value)
 
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; return ``True`` if it existed."""
-        if key in self._data:
-            del self._data[key]
-            self._dirty = True
-            return True
-        return False
+        if key not in self._data:
+            return False
+        del self._data[key]
+        self._ensure_sorted()
+        keys = self._sorted_keys
+        del keys[bisect.bisect_left(keys, key)]
+        return True
 
     def test_and_set(
         self, key: bytes, expected: Optional[bytes], new_value: bytes
@@ -80,9 +92,10 @@ class OrderedKVMap:
     # Range operations
     # ------------------------------------------------------------------
     def _ensure_sorted(self) -> None:
-        if self._dirty or len(self._sorted_keys) != len(self._data):
-            self._sorted_keys = sorted(self._data.keys())
-            self._dirty = False
+        if self._new_keys:
+            self._sorted_keys.extend(self._new_keys)
+            self._sorted_keys.sort()
+            self._new_keys = []
 
     def range(
         self,
@@ -154,4 +167,4 @@ class OrderedKVMap:
         """Remove every entry."""
         self._data.clear()
         self._sorted_keys = []
-        self._dirty = False
+        self._new_keys = []

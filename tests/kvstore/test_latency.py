@@ -87,6 +87,13 @@ class TestLatencyModel:
         assert w0 != w1
         assert LatencyModel(seed=9).weather(10.0) == pytest.approx(w0)
 
+    def test_reseed_moves_the_weather_to_the_new_seed(self):
+        model = LatencyModel(seed=9)
+        before = model.weather(10.0)
+        model.reseed(10)
+        assert model.weather(10.0) == LatencyModel(seed=10).weather(10.0)
+        assert model.weather(10.0) != before
+
     def test_weather_disabled_when_sigma_zero(self):
         model = LatencyModel(LatencyParameters(weather_sigma=0.0), seed=1)
         assert model.weather(0) == 1.0

@@ -1,6 +1,8 @@
 """Unit tests for the in-memory ordered key/value map."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.kvstore.memory import OrderedKVMap
 
@@ -110,3 +112,67 @@ class TestRangeOperations:
         populated.clear()
         assert len(populated) == 0
         assert populated.range() == []
+
+
+#: Few distinct keys, so puts, deletes and re-puts of one key interleave.
+_KEYS = st.sampled_from([b"", b"a", b"ab", b"b", b"ba", b"c", b"d\x00", b"d"])
+_BOUND = st.one_of(st.none(), _KEYS)
+_OPS = st.one_of(
+    st.tuples(st.just("put"), _KEYS, st.binary(max_size=3)),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("range"), _BOUND, _BOUND, st.one_of(st.none(), st.integers(0, 4)), st.booleans()),
+    st.tuples(st.just("iter_range"), _BOUND, _BOUND, st.booleans()),
+    st.tuples(st.just("count_range"), _BOUND, _BOUND),
+    st.tuples(st.just("clear")),
+)
+
+
+def _oracle_range(oracle, start, end, ascending):
+    keys = sorted(
+        key for key in oracle
+        if (start is None or key >= start) and (end is None or key < end)
+    )
+    if not ascending:
+        keys.reverse()
+    return [(key, oracle[key]) for key in keys]
+
+
+class TestAgainstSortedDictOracle:
+    @given(st.lists(_OPS, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_interleaved_operations(self, ops):
+        store, oracle = OrderedKVMap(), {}
+        for op in ops:
+            if op[0] == "put":
+                store.put(op[1], op[2])
+                oracle[op[1]] = op[2]
+            elif op[0] == "delete":
+                assert store.delete(op[1]) == (oracle.pop(op[1], None) is not None)
+            elif op[0] == "range":
+                _, start, end, limit, ascending = op
+                expected = _oracle_range(oracle, start, end, ascending)
+                assert store.range(start, end, limit, ascending) == expected[:limit]
+            elif op[0] == "iter_range":
+                _, start, end, ascending = op
+                assert list(store.iter_range(start, end, ascending)) == \
+                    _oracle_range(oracle, start, end, ascending)
+            elif op[0] == "count_range":
+                assert store.count_range(op[1], op[2]) == \
+                    len(_oracle_range(oracle, op[1], op[2], True))
+            else:
+                store.clear()
+                oracle.clear()
+            assert len(store) == len(oracle)
+        assert list(store.iter_items()) == _oracle_range(oracle, None, None, True)
+
+    def test_delete_and_reput_of_a_key_added_since_the_last_range(self):
+        store = OrderedKVMap()
+        store.put(b"b", b"1")
+        assert store.range() == [(b"b", b"1")]
+        store.put(b"a", b"2")
+        store.put(b"c", b"3")
+        assert store.delete(b"a")
+        store.put(b"a", b"4")
+        assert store.delete(b"c")
+        assert store.range() == [(b"a", b"4"), (b"b", b"1")]
+        assert store.count_range() == 2
